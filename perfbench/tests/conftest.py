@@ -1,0 +1,9 @@
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+sys.path.insert(0, ROOT)
+
+from perfbench import harness  # noqa: E402
+
+harness.ensure_source()
