@@ -1,9 +1,10 @@
 """Figure 6: compile-time speedup over the LLVM baseline.
 
-Times both full flows end-to-end (selection + the shared downstream
-backend passes whose cost scales with emitted IR) under pytest-benchmark,
-and prints the per-benchmark compile-time speedup table.  Also reports
-the PITCHFORK-vs-Rake compile-time ratio (§5.2: "orders of magnitude").
+Times PITCHFORK's selection under pytest-benchmark, and both flows
+end-to-end (selection + the downstream backend model whose cost scales
+with emitted IR, run identically on each flow by ``measure_one``) for
+the per-benchmark compile-time speedup table.  Also reports the
+PITCHFORK-vs-Rake compile-time ratio (§5.2: "orders of magnitude").
 
 The timed compiles run uninstrumented (the overhead contract is part of
 what Figure 6 measures); a separate metrics-only sweep afterwards

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple, Type
 
-from ..ir.expr import Expr, TypeError_
+from ..ir.expr import Expr, TypeError_, stored_type
 from ..ir.types import ScalarType
 
 __all__ = [
@@ -79,17 +79,24 @@ def _sym_sign(t, signed: bool):
 
 
 class FPIRInstr(Expr):
-    """Base class for all FPIR instructions."""
+    """Base class for all FPIR instructions.
+
+    An instruction whose result type derives from its operands' defines
+    ``_derive_type`` and stores its result in a ``_ty`` slot at
+    construction, so ``.type`` is an attribute read.
+    """
 
     #: snake_case name used in printing and rule files
     name: str = ""
+
+    type = stored_type
 
 
 # ----------------------------------------------------------------------
 # Widening arithmetic: T x T -> widen(T)
 # ----------------------------------------------------------------------
 class _WideningBinary(FPIRInstr):
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_ty")
     _fields = ("a", "b")
 
     #: subclass hook: may the operands' signedness differ?
@@ -109,9 +116,9 @@ class _WideningBinary(FPIRInstr):
                 raise TypeError_(f"{self.name}: cannot widen {ta}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_ty", self._derive_type())
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         t = self.a.type
         return t.widen() if isinstance(t, ScalarType) else _sym_widen(t)
 
@@ -127,8 +134,7 @@ class WideningSub(_WideningBinary):
 
     name = "widening_sub"
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         t = self.a.type
         if isinstance(t, ScalarType):
             return t.widen().with_signed(True)
@@ -144,8 +150,7 @@ class WideningMul(_WideningBinary):
     name = "widening_mul"
     _mixed_sign = True
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         ta, tb = self.a.type, self.b.type
         if isinstance(ta, ScalarType) and isinstance(tb, ScalarType):
             return ScalarType(ta.bits * 2, ta.signed or tb.signed)
@@ -172,7 +177,7 @@ class WideningShr(_WideningBinary):
 class _ExtendingBinary(FPIRInstr):
     """``x (op) widen(y)`` where x already has double the bits of y."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_ty")
     _fields = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
@@ -186,9 +191,9 @@ class _ExtendingBinary(FPIRInstr):
                 )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_ty", self._derive_type())
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         return self.a.type
 
 
@@ -220,7 +225,7 @@ class Abs(FPIRInstr):
     """
 
     name = "abs"
-    __slots__ = ("a",)
+    __slots__ = ("a", "_ty")
     _fields = ("a",)
 
     def __init__(self, a: Expr):
@@ -228,9 +233,9 @@ class Abs(FPIRInstr):
         if _concrete(t) and t.is_bool:
             raise TypeError_("abs: bool operand")
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_ty", self._derive_type())
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         t = self.a.type
         if isinstance(t, ScalarType):
             return t.with_signed(False)
@@ -244,7 +249,7 @@ class Absd(FPIRInstr):
     """
 
     name = "absd"
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_ty")
     _fields = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
@@ -256,9 +261,9 @@ class Absd(FPIRInstr):
                 raise TypeError_("absd: bool operand")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_ty", self._derive_type())
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         t = self.a.type
         if isinstance(t, ScalarType):
             return t.with_signed(False)
@@ -293,7 +298,7 @@ class SaturatingNarrow(FPIRInstr):
     """``saturating_cast<type(x).narrow()>(x)`` (ARM uqxtn, HVX vsat)."""
 
     name = "saturating_narrow"
-    __slots__ = ("a",)
+    __slots__ = ("a", "_ty")
     _fields = ("a",)
 
     def __init__(self, a: Expr):
@@ -301,9 +306,9 @@ class SaturatingNarrow(FPIRInstr):
         if _concrete(t) and not t.can_narrow():
             raise TypeError_(f"saturating_narrow: cannot narrow {t}")
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_ty", self._derive_type())
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         t = self.a.type
         return t.narrow() if isinstance(t, ScalarType) else _sym_narrow(t)
 
@@ -311,7 +316,7 @@ class SaturatingNarrow(FPIRInstr):
 class _SameTypeBinary(FPIRInstr):
     """Helper base: T x T -> T instructions."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_ty")
     _fields = ("a", "b")
     _allow_sign_mismatch = False
 
@@ -327,9 +332,9 @@ class _SameTypeBinary(FPIRInstr):
                 raise TypeError_(f"{self.name}: type mismatch {ta}/{tb}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_ty", self._derive_type())
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         return self.a.type
 
 
@@ -393,7 +398,7 @@ class RoundingShr(_SameTypeBinary):
 # Fused multiply-shift (fixed-point multiplication)
 # ----------------------------------------------------------------------
 class _MulShrBase(FPIRInstr):
-    __slots__ = ("a", "b", "shift")
+    __slots__ = ("a", "b", "shift", "_ty")
     _fields = ("a", "b", "shift")
 
     def __init__(self, a: Expr, b: Expr, shift: Expr):
@@ -410,9 +415,9 @@ class _MulShrBase(FPIRInstr):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "_ty", self._derive_type())
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         ta, tb = self.a.type, self.b.type
         if isinstance(ta, ScalarType) and isinstance(tb, ScalarType):
             return ScalarType(ta.bits, ta.signed or tb.signed)

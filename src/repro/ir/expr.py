@@ -74,9 +74,27 @@ def _is_concrete(t: object) -> bool:
     return isinstance(t, ScalarType)
 
 
-#: Hash-cons table: structural key -> the canonical node for that key.
-#: Weak on the values so expressions die with their last outside reference.
-_INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+#: Hash-cons table: structural key -> weak reference to the canonical node
+#: for that key.  Each reference removes its own entry when the node dies,
+#: so expressions die with their last outside reference.  (A plain dict
+#: read inline is cheaper than ``WeakValueDictionary``'s Python-level
+#: ``get``/``__setitem__`` on this hottest of paths.)
+_INTERN: "dict[tuple, weakref.KeyedRef]" = {}
+
+
+def _forget(ref: "weakref.KeyedRef", _intern=_INTERN) -> None:
+    """Weakref callback: drop a dead node's entry (unless re-interned)."""
+    if _intern.get(ref.key) is ref:
+        del _intern[ref.key]
+
+
+#: Field-value types for which ``==`` implies interchangeable constructor
+#: arguments.  A key made of these values and canonical children can be
+#: looked up before constructing; ``bool``, ``float`` and NumPy scalars
+#: compare equal to ints yet are normalized or refused by ``__init__``, so
+#: they always take the full construction path.  Modules defining other
+#: such field types add them here.
+EXACT_FIELD_TYPES = {int, str, ScalarType}
 
 
 class _ExprMeta(type):
@@ -91,9 +109,32 @@ class _ExprMeta(type):
     for the rewriter's pattern leaves whose ``_key`` deliberately omits
     their type pattern) and every child is itself canonical (rule patterns
     embed wildcard leaves in otherwise-concrete nodes).
+
+    When the positional arguments already spell a canonical key (canonical
+    children, :data:`EXACT_FIELD_TYPES` values), the table is consulted
+    *before* constructing: a hit returns the canonical node without
+    running ``__init__``, which is safe because that node passed the same
+    checks with equal field values.  A miss constructs, checks and
+    normalizes as usual (``Const`` wrapping, int operands coerced to
+    ``Const``), then interns under the normalized key.
     """
 
     def __call__(cls, *args, **kwargs):
+        if cls._internable and not kwargs and len(args) == len(cls._fields):
+            for a in args:
+                if type(a) not in EXACT_FIELD_TYPES and not getattr(
+                    a, "_canon", False
+                ):
+                    break
+            else:
+                try:
+                    ref = _INTERN.get((cls,) + args)
+                except TypeError:  # unhashable field value
+                    ref = None
+                if ref is not None:
+                    canon = ref()
+                    if canon is not None:
+                        return canon
         obj = super().__call__(*args, **kwargs)
         if not cls._internable:
             return obj
@@ -102,13 +143,15 @@ class _ExprMeta(type):
                 return obj
         key = obj._key()
         try:
-            canon = _INTERN.get(key)
+            ref = _INTERN.get(key)
         except TypeError:  # unhashable field value: skip interning
             return obj
-        if canon is not None:
-            return canon
+        if ref is not None:
+            canon = ref()
+            if canon is not None:
+                return canon
         object.__setattr__(obj, "_canon", True)
-        _INTERN[key] = obj
+        _INTERN[key] = weakref.KeyedRef(obj, _forget, key)
         return obj
 
 
@@ -245,6 +288,19 @@ class Expr(metaclass=_ExprMeta):
         return Neg(self)
 
 
+def _stored_type(node: Expr) -> ScalarType:
+    try:
+        return node._ty
+    except AttributeError:  # forged without __init__ (verifier tests)
+        return node._derive_type()
+
+
+#: ``.type`` for nodes whose result type derives from their operands':
+#: ``__init__`` stores ``_derive_type()`` in the ``_ty`` slot once, so
+#: reading it is O(1) however deep the operand chain is.
+stored_type = property(_stored_type)
+
+
 def _coerce(value: object, like: Expr) -> Expr:
     """Allow ``expr + 3`` by broadcasting the int to ``expr``'s type."""
     if isinstance(value, Expr):
@@ -341,7 +397,7 @@ class Reinterpret(Expr):
 class Neg(Expr):
     """Two's-complement negation (wraps at the type's extreme)."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_ty")
     _fields = ("value",)
 
     def __init__(self, value: Expr):
@@ -349,10 +405,12 @@ class Neg(Expr):
         if _is_concrete(t) and t.is_bool:
             raise TypeError_("cannot negate bool")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_ty", t)
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         return self.value.type
+
+    type = stored_type
 
 
 class Not(Expr):
@@ -378,7 +436,7 @@ class Not(Expr):
 class BinaryOp(Expr):
     """Base for same-type binary arithmetic; result type is the lhs type."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_ty")
     _fields = ("a", "b")
 
     #: set on subclasses that permit a signedness mismatch (shifts)
@@ -409,10 +467,12 @@ class BinaryOp(Expr):
                 )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_ty", self._derive_type())
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         return self.a.type
+
+    type = stored_type
 
 
 class Add(BinaryOp):
@@ -485,8 +545,7 @@ class CmpOp(BinaryOp):
 
     _arith_only = False
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         return BOOL
 
 
@@ -520,7 +579,7 @@ class NE(CmpOp):
 class Select(Expr):
     """Lane-wise conditional: ``cond ? t : f`` with a bool condition."""
 
-    __slots__ = ("cond", "t", "f")
+    __slots__ = ("cond", "t", "f", "_ty")
     _fields = ("cond", "t", "f")
 
     def __init__(self, cond: Expr, t: Expr, f: Expr):
@@ -533,10 +592,12 @@ class Select(Expr):
         object.__setattr__(self, "cond", cond)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "_ty", tt)
 
-    @property
-    def type(self) -> ScalarType:
+    def _derive_type(self) -> ScalarType:
         return self.t.type
+
+    type = stored_type
 
 
 def free_vars(expr: Expr) -> Tuple[Var, ...]:

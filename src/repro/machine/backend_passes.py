@@ -1,4 +1,4 @@
-"""Downstream "LLVM backend" work, shared by every compile flow.
+"""Downstream "LLVM backend" work, the Figure 6 compile-time model.
 
 Whether instruction selection happened in PITCHFORK or in LLVM, the result
 still flows through LLVM's generic machinery (register allocation, late
@@ -11,9 +11,13 @@ optimization passes."
 This module is that downstream machinery: a fixed number of real passes
 (value numbering, constant re-folding, dead-node scanning, a linear-scan
 register assignment over the linearized program) whose wall time is
-proportional to program size.  Both compilers call it; the smaller
-PITCHFORK output therefore takes measurably less time — the Figure 6
-mechanism, reproduced rather than assumed.
+proportional to program size.  It is not part of either compile flow:
+its result is never read, so ``pitchfork_compile`` and ``llvm_compile``
+do selection only.  The Figure 6 harness
+(:func:`repro.evaluation.compile_time.measure_one`) runs it on both
+compilers' output inside the timed region; the smaller PITCHFORK output
+therefore takes measurably less time — the Figure 6 mechanism,
+reproduced rather than assumed.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..ir import expr as E
-from ..passes import Pass, PassContext
 from .program import AsmLine, linearize
 
-__all__ = ["run_backend_passes", "BackendPass", "BACKEND_PASS_ROUNDS"]
+__all__ = ["run_backend_passes", "BACKEND_PASS_ROUNDS"]
 
 #: How many pass iterations the downstream pipeline runs.  LLVM's codegen
 #: pipeline (DAG combines x N, legalization, two scheduling passes,
@@ -90,15 +93,3 @@ def run_backend_passes(program: E.Expr, rounds: int = BACKEND_PASS_ROUNDS) -> di
         stats["spills"] = _liveness_and_regalloc(lines)
     return stats
 
-
-class BackendPass(Pass):
-    """Pipeline stage wrapping the downstream backend-pass model."""
-
-    name = "backend"
-
-    def __init__(self, rounds: int = BACKEND_PASS_ROUNDS):
-        self.rounds = rounds
-
-    def run(self, expr: E.Expr, ctx: PassContext) -> E.Expr:
-        ctx.extras["backend"] = run_backend_passes(expr, rounds=self.rounds)
-        return expr

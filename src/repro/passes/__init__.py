@@ -8,7 +8,6 @@ machinery they wrap:
 * :class:`repro.lifting.canonicalize.CanonicalizePass`
 * :class:`repro.lifting.lifter.LiftPass`
 * :class:`repro.machine.lowerer.LowerPass`
-* :class:`repro.machine.backend_passes.BackendPass`
 
 and :mod:`repro.pipeline` composes them into PITCHFORK's online path.
 """

@@ -1,7 +1,7 @@
 """The instrumented pass pipeline: ``Pass`` protocol + ``PassManager``.
 
 PITCHFORK's online path is a short, fixed sequence — canonicalize, lift,
-lower, downstream backend passes — that used to be hard-wired into
+lower — that used to be hard-wired into
 ``pipeline.py``.  This module turns it into data: a :class:`PassManager`
 runs an ordered list of :class:`Pass` objects over an expression, timing
 each one and recording rewrite counts and node counts into a
@@ -74,8 +74,8 @@ class PassContext:
 
     target: Optional[Any] = None
     var_bounds: Optional[Dict[str, Any]] = None
-    #: byproducts passes want to expose (lifted form, rules used, backend
-    #: pass statistics); keyed by pass-chosen names
+    #: byproducts passes want to expose (lifted form, rules used); keyed
+    #: by pass-chosen names
     extras: Dict[str, Any] = field(default_factory=dict)
     #: running rewrite-application counter, incremented by passes
     rewrites: int = 0

@@ -10,9 +10,12 @@ This is the user-facing facade (Figure 1's "online" path)::
     print(prog.stats.format_table())   # per-pass timing breakdown
 
 The pipeline itself is an instrumented :class:`~repro.passes.PassManager`
-run over four passes — canonicalize, lift, lower, backend — whose per-pass
-wall time, rewrite counts and node counts land in the compiled program's
-:class:`~repro.passes.CompileStats`.
+run over three passes — canonicalize, lift, lower — whose per-pass wall
+time, rewrite counts and node counts land in the compiled program's
+:class:`~repro.passes.CompileStats`.  A compile does instruction
+selection only; the downstream LLVM model
+(:mod:`repro.machine.backend_passes`) runs in the Figure 6 harness, on
+both compilers' output alike.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .lifting.canonicalize import CanonicalizePass
 from .lifting.lifter import EGraphLiftPass, LIFT_STRATEGIES, Lifter, LiftPass
 from .machine.llvm_baseline import LLVMBaseline, LLVMCompileError
 from .machine.lowerer import Lowerer, LowerPass
-from .machine.backend_passes import BackendPass, run_backend_passes
 from .machine.program import AsmLine, format_explained, linearize
 from .machine.simulator import CostBreakdown, cost_cycles, simulate
 from .observe import Observation
@@ -167,7 +169,6 @@ class PitchforkCompiler:
                 CanonicalizePass(),
                 lift_pass,
                 LowerPass(self.lowerer),
-                BackendPass(),  # shared downstream LLVM work (§5.2)
             ],
             # -verify-each mode: re-check IR well-formedness after every
             # pass (raises PassVerificationError naming the bad pass).
@@ -326,7 +327,6 @@ def llvm_compile(
         )
         _BASELINE_CACHE[bkey] = baseline
     lowered = baseline.compile(expr, analyzer)
-    run_backend_passes(lowered)  # shared downstream LLVM work (§5.2)
     elapsed = time.perf_counter() - t0
     return CompiledProgram(
         source=expr,

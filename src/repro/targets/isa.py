@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from ..ir.expr import Expr
+from ..ir.expr import EXACT_FIELD_TYPES, Expr
 from ..ir.types import ScalarType
 
 __all__ = [
@@ -77,6 +77,11 @@ class InstrSpec:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{self.isa}:{self.name}>"
+
+
+# Equal specs are interchangeable operands of a TargetOp constructor
+# (``semantics`` is excluded from equality and never read at build time).
+EXACT_FIELD_TYPES.add(InstrSpec)
 
 
 class TargetOp(Expr):

@@ -1,9 +1,14 @@
 """Hash-cons interning: structurally equal exprs are reference-equal."""
 
+import sys
+import weakref
+
+import pytest
+
 from repro import fpir as F
 from repro.ir import builders as h
 from repro.ir import expr as E
-from repro.ir.types import U8, U16
+from repro.ir.types import BOOL, I16, U8, U16
 from repro.trs.pattern import ConstWild, TVar, Wild
 
 a = h.var("a", U8)
@@ -61,3 +66,75 @@ class TestPatternNodesNotInterned:
         pat = E.Add(Wild("x", T), Wild("y", T))
         assert not getattr(pat, "_canon", False)
         assert pat is not E.Add(Wild("x", T), Wild("y", T))
+
+
+class TestInternBeforeConstruct:
+    """The intern table is consulted before ``__init__`` runs; values that
+    ``__init__`` would normalize still reach the canonical node."""
+
+    def test_out_of_range_const_reaches_wrapped_node(self):
+        assert E.Const(U8, 999) is E.Const(U8, 231)
+
+    def test_bool_const_value_reaches_int_node(self):
+        assert E.Const(BOOL, True) is E.Const(BOOL, 1)
+        assert type(E.Const(BOOL, True).value) is int
+
+    def test_int_operand_reaches_const_operand_node(self):
+        x = h.var("x", U16)
+        assert E.Add(x, 3) is E.Add(x, E.Const(x.type, 3))
+        assert E.Add(3, x) is E.Add(E.Const(x.type, 3), x)
+
+    def test_non_int_const_value_still_refused(self):
+        E.Const(U8, 1)
+        with pytest.raises(E.TypeError_):
+            E.Const(U8, 1.0)
+
+    def test_ill_typed_still_raises_after_well_typed_exists(self):
+        c = h.var("c", U16)
+        E.Add(a, b)
+        E.Add(c, c)
+        with pytest.raises(E.TypeError_):
+            E.Add(a, c)
+        with pytest.raises(E.TypeError_):
+            E.Add(c, a)
+
+    def test_pattern_child_still_not_interned(self):
+        E.Add(a, b)
+        pat = E.Add(a, Wild("x", TVar("T")))
+        assert not getattr(pat, "_canon", False)
+
+    def test_rebuild_of_canonical_node_skips_init(self, monkeypatch):
+        x = E.Add(a, b)
+        original = E.BinaryOp.__init__
+        inits = []
+
+        def spy(self, *args):
+            inits.append(type(self))
+            original(self, *args)
+
+        monkeypatch.setattr(E.BinaryOp, "__init__", spy)
+        assert E.Add(a, b) is x
+        assert x.with_children([a, b]) is x
+        assert inits == []
+        E.Sub(a, h.var("fresh", U8))  # a new node still runs __init__
+        assert inits == [E.Sub]
+
+    def test_nodes_die_with_their_last_reference(self):
+        v, c = h.var("dies", I16), E.Const(I16, 12345)
+        y = E.Mul(v, c)
+        key, alive = y._key(), weakref.ref(y)
+        assert key in E._INTERN
+        del y
+        assert alive() is None
+        assert key not in E._INTERN
+
+
+class TestDerivedTypeIsStored:
+    def test_deep_add_chain_type_under_default_recursion_limit(self):
+        # deeper than the recursion limit: a recursive .type would fail
+        assert sys.getrecursionlimit() < 3000
+        x = h.var("deep", U8)
+        e = x
+        for _ in range(3000):
+            e = E.Add(e, x)
+        assert e.type == U8

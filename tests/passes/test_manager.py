@@ -152,7 +152,18 @@ class TestCompileStatsOnPrograms:
         prog = pitchfork_compile(wl.expr, ARM, var_bounds=wl.var_bounds)
         assert isinstance(prog.stats, CompileStats)
         assert [p.name for p in prog.stats.passes] == [
-            "canonicalize", "lift", "lower", "backend",
+            "canonicalize", "lift", "lower",
         ]
         assert prog.stats["lift"].rewrites > 0
         assert prog.compile_seconds == prog.stats.total_seconds
+
+    def test_default_pipeline_runs_no_backend_model(self):
+        # The downstream backend model belongs to the Figure 6 harness,
+        # not to every compile.
+        from repro.pipeline import PitchforkCompiler
+        from repro.targets import ARM
+
+        for strategy in ("greedy", "egraph"):
+            comp = PitchforkCompiler(ARM, lift_strategy=strategy)
+            names = [p.name for p in comp.passes.passes]
+            assert "backend" not in names

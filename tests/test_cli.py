@@ -45,7 +45,7 @@ class TestCompile:
         ) == 0
         out = capsys.readouterr().out
         assert "per-pass breakdown" in out
-        for name in ("canonicalize", "lift", "lower", "backend", "total"):
+        for name in ("canonicalize", "lift", "lower", "total"):
             assert name in out
         assert "rewrites" in out
 
