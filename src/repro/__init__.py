@@ -20,27 +20,45 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-figure reproductions.
 """
 
+import importlib
+
+from ._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
-from . import analysis  # noqa: F401
-from . import fabric  # noqa: F401
-from . import fpir  # noqa: F401
-from . import interp  # noqa: F401
-from . import ir  # noqa: F401
-from . import lifting  # noqa: F401
-from . import machine  # noqa: F401
-from . import observe  # noqa: F401
-from . import targets  # noqa: F401
-from . import trs  # noqa: F401
-from . import verify  # noqa: F401
-from .pipeline import (  # noqa: F401
-    CompiledProgram,
-    LLVMCompileError,
-    PitchforkCompiler,
-    llvm_compile,
-    pitchfork_compile,
-    rake_compile,
+#: ``import repro`` loads only this package shell: each subpackage and
+#: the pipeline names are imported on first access, so a cold
+#: ``python -m repro compile`` loads the selector and not the fabric,
+#: the verifier or the report machinery
+_SUBPACKAGES = (
+    "analysis", "fabric", "fpir", "interp", "ir", "lifting", "machine",
+    "observe", "passes", "pipeline", "targets", "trs", "verify",
 )
+__getattr__, __dir__ = lazy_exports(globals(), {
+    **{name: "." + name for name in _SUBPACKAGES},
+    **{name: ".pipeline" for name in (
+        "CompiledProgram",
+        "LLVMCompileError",
+        "PitchforkCompiler",
+        "llvm_compile",
+        "pitchfork_compile",
+        "rake_compile",
+    )},
+})
+
+
+def _import_all() -> None:
+    """Import every subpackage above and every name in its ``__all__``.
+
+    A long-lived process that forks workers (the ``serve`` daemon, a
+    ``--jobs`` pool) calls this first, so the workers inherit these
+    modules instead of each importing them on first use.
+    """
+    for name in _SUBPACKAGES:
+        package = importlib.import_module("." + name, __name__)
+        for attr in getattr(package, "__all__", ()):
+            getattr(package, attr)
+
 
 __all__ = [
     "CompiledProgram",

@@ -50,7 +50,7 @@ from contextlib import nullcontext
 from . import targets as T
 from .lifting import LIFT_STRATEGIES
 from .passes import PassVerificationError
-from .pipeline import LLVMCompileError, llvm_compile, rake_compile
+from .pipeline import llvm_compile, rake_compile
 from .workloads import WORKLOADS, by_name
 
 
@@ -231,6 +231,8 @@ def cmd_compile(args) -> int:
         if args.stats:
             _print_stats(pf, "pitchfork")
         if args.compare:
+            from .machine.llvm_baseline import LLVMCompileError
+
             try:
                 ll = llvm_compile(wl.expr, target, var_bounds=wl.var_bounds)
             except LLVMCompileError as exc:

@@ -65,6 +65,23 @@ def _corners(a: Interval, b: Interval, fn) -> Interval:
     return Interval(min(vals), max(vals))
 
 
+#: definitional expansion per interned surrogate node (an FPIR node
+#: over ``__b<i>`` variables).  It depends only on the class, the
+#: non-child fields and the operand types, so it is built once per
+#: process instead of on every bounds query, and the table holds at
+#: most one entry per class and type combination.
+_EXPANSIONS: Dict[E.Expr, Optional[E.Expr]] = {}
+
+
+def surrogate_expansion(node: E.Expr) -> Optional[E.Expr]:
+    """``expand(node)``, memoized per surrogate node."""
+    try:
+        return _EXPANSIONS[node]
+    except KeyError:
+        expansion = _EXPANSIONS[node] = expand(node)
+        return expansion
+
+
 class BoundsAnalyzer:
     """Computes value intervals for expressions, with a query cache.
 
@@ -267,7 +284,7 @@ class BoundsAnalyzer:
             name = f"__b{i}"
             names.append(E.Var(child.type, name))
             surrogate_env[name] = self.bounds(child)
-        expansion = expand(e.with_children(names))
+        expansion = surrogate_expansion(e.with_children(names))
         if expansion is None:
             return Interval.of_type(t)
         sub = BoundsAnalyzer(surrogate_env)

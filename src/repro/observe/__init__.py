@@ -27,6 +27,7 @@ present; the default (``None``) path is byte-identical to the
 uninstrumented pipeline.
 """
 
+from .._lazy import lazy_exports
 from .metrics import (
     Counter,
     Gauge,
@@ -37,15 +38,21 @@ from .metrics import (
 )
 from .observation import Observation
 from .provenance import Provenance, ProvenanceEntry
-from .report import (
-    PhaseClock,
-    RunReport,
-    diff_reports,
-    format_diff,
-    load_report,
-    span_summary,
-)
 from .tracer import NullTracer, Tracer
+
+#: the run-report names load :mod:`.report` (and its fingerprinting)
+#: on first access: only a ``--report`` run writes one
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "report": ".report",
+    **{name: ".report" for name in (
+        "PhaseClock",
+        "RunReport",
+        "diff_reports",
+        "format_diff",
+        "load_report",
+        "span_summary",
+    )},
+})
 
 __all__ = [
     "Counter",

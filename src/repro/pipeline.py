@@ -24,11 +24,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+from ._lazy import lazy_exports
 from .analysis import BoundsAnalyzer, Interval
 from .ir.expr import Expr
 from .lifting.canonicalize import CanonicalizePass
 from .lifting.lifter import EGraphLiftPass, LIFT_STRATEGIES, Lifter, LiftPass
-from .machine.llvm_baseline import LLVMBaseline, LLVMCompileError
 from .machine.lowerer import Lowerer, LowerPass
 from .machine.program import AsmLine, format_explained, linearize
 from .machine.simulator import CostBreakdown, cost_cycles, simulate
@@ -44,6 +44,13 @@ __all__ = [
     "rake_compile",
     "LLVMCompileError",
 ]
+
+#: the LLVM baseline loads on first access (``llvm_compile`` imports it
+#: itself): a PITCHFORK compile never runs it
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "LLVMBaseline": ".machine.llvm_baseline",
+    "LLVMCompileError": ".machine.llvm_baseline",
+})
 
 
 @dataclass
@@ -317,6 +324,8 @@ def llvm_compile(
     rounding_mul_shr sequence) — use it only after a plain attempt
     raised, mirroring the paper's protocol.
     """
+    from .machine.llvm_baseline import LLVMBaseline
+
     t0 = time.perf_counter()
     analyzer = BoundsAnalyzer(var_bounds)
     bkey = (target.name, q31_fallback)

@@ -54,6 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from .. import _import_all
 from ..session import CompilerSession
 from .protocol import (
     FABRIC_OPS,
@@ -153,6 +154,9 @@ class ServeDaemon:
         from :attr:`address` / :attr:`metrics_address`.
         """
         with self.clock.phase("warm-up"):
+            # Load what a cold compile defers (fabric, reports, the LLVM
+            # baseline) now, not on some request's clock.
+            _import_all()
             summary = self.session.warm_up(targets=self.warm_targets)
             # Fork workers only now, so they inherit the warm indexes.
             self.session.ensure_pool()

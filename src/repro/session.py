@@ -245,8 +245,12 @@ class CompilerSession:
         if self.jobs <= 1:
             return None
         if self._pool is None:
+            from . import _import_all
             from .fabric import WorkerPool
 
+            # Workers fork from this process: load the package's lazy
+            # modules here once, not in every worker.
+            _import_all()
             self._pool = WorkerPool(self.jobs, warm_up=self.warm_up)
         return self._pool
 

@@ -151,6 +151,62 @@ class TestBoundsContext:
         assert an.bounds(e) is first  # cached object
 
 
+class TestExpansionMemo:
+    """Compositional FPIR bounds analyze a definitional expansion that is
+    memoized per surrogate node; the memo must not change any bound."""
+
+    def test_memo_matches_fresh_expansion_on_every_lifted_cell(
+        self, monkeypatch
+    ):
+        from repro.analysis import intervals
+        from repro.fpir.semantics import expand
+        from repro.ir.traversal import subexpressions
+        from repro.pipeline import pitchfork_compile
+        from repro.targets import ALL_TARGETS
+        from repro.workloads import WORKLOADS, by_name
+
+        cells = []
+        for name in WORKLOADS:
+            wl = by_name(name)
+            for target in ALL_TARGETS.values():
+                prog = pitchfork_compile(
+                    wl.expr, target, var_bounds=wl.var_bounds
+                )
+                cells.append((prog.lifted, wl.var_bounds))
+        assert len(cells) == 96
+
+        def every_bound():
+            return [
+                [BoundsAnalyzer(vb).bounds(n) for n in subexpressions(tree)]
+                for tree, vb in cells
+            ]
+
+        every_bound()
+        # The memo is warm now: a second round of fresh analyzers
+        # expands nothing.
+        expanded = []
+        monkeypatch.setattr(
+            intervals, "expand", lambda e: expanded.append(e) or expand(e)
+        )
+        memoized = every_bound()
+        assert expanded == []
+        # The same queries, expanding afresh on every call.
+        monkeypatch.setattr(intervals, "surrogate_expansion", expand)
+        assert every_bound() == memoized
+
+    def test_memo_keys_on_operand_types(self):
+        from repro.analysis.intervals import surrogate_expansion
+
+        narrow = surrogate_expansion(
+            F.RoundingShr(h.var("__b0", U8), h.var("__b1", U8))
+        )
+        wide = surrogate_expansion(
+            F.RoundingShr(h.var("__b0", U16), h.var("__b1", U16))
+        )
+        assert narrow is not None and wide is not None
+        assert narrow.type == U8 and wide.type == U16
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     av=st.integers(min_value=0, max_value=255),
